@@ -58,6 +58,10 @@ def build():
     build_dir = ROOT / BUILD_DIR
     build_dir.mkdir(parents=True, exist_ok=True)
     log_path = build_dir / "build.log"
+    # The compiler's temporary files stay inside the checkout too.
+    tmp_dir = build_dir / "tmp"
+    tmp_dir.mkdir(exist_ok=True)
+    env = dict(os.environ, TMPDIR=str(tmp_dir))
     with open(log_path, "w") as log:
         steps = []
         if not (build_dir / "CMakeCache.txt").is_file():
@@ -66,7 +70,7 @@ def build():
         steps.append(["cmake", "--build", str(build_dir), "--target", "stepbench",
                       "-j", str(os.cpu_count() or 1)])
         for cmd in steps:
-            if subprocess.run(cmd, stdout=log, stderr=subprocess.STDOUT).returncode != 0:
+            if subprocess.run(cmd, stdout=log, stderr=subprocess.STDOUT, env=env).returncode != 0:
                 log.flush()
                 tail = log_path.read_text().splitlines()[-20:]
                 print("\n".join(tail), file=sys.stderr)
