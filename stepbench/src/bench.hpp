@@ -38,7 +38,7 @@ struct Options {
 };
 
 /// Everything one run measured. The Python front end turns the raw samples
-/// into percentiles and rates; see stepbench/stats.py.
+/// into percentiles and rates; see stepbench/metrics.py.
 struct Report {
   std::string op = "step";         ///< what one op_ms sample times
   std::vector<double> setup_s;     ///< one sample per full set-up

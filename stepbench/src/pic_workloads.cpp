@@ -34,7 +34,6 @@ using namespace dlpic;
 
 namespace {
 
-constexpr size_t kSetupRepeatsTraditional = 25;  // set-up is ~3 ms: take many
 constexpr size_t kSetupRepeatsDl = 5;
 constexpr size_t kCheckEvery = 20;  // DL steps between bitwise recomputes
 
@@ -172,8 +171,9 @@ void timed_traditional(const Options& opt, Report& r) {
     const auto cfg = paper_config(derive_seed(opt.seed, sims++));
     r.attempted += cfg.nsteps;
     try {
-      // Each run's construction is a full set-up too: timing it spreads the
-      // set-up samples over the whole window instead of one moment of it.
+      // Set-up is the particle load plus the initial field solve: exactly one
+      // construction, so every run's construction is a set-up sample and the
+      // samples span the whole window.
       const auto t_setup = Clock::now();
       pic::TraditionalPic sim(cfg);
       r.setup_s.push_back(s_between(t_setup, Clock::now()));
@@ -469,13 +469,6 @@ void run_traditional(const Options& opt, Report& r) {
   const auto cfg = paper_config(opt.seed);
   r.items_per_op = static_cast<double>(cfg.total_particles());
   r.counters["pic.particles_per_step"] = r.items_per_op;
-  // Set-up is the particle load plus the initial field solve.
-  for (size_t k = 0; k < kSetupRepeatsTraditional; ++k) {
-    std::optional<pic::TraditionalPic> sim;
-    const auto t0 = Clock::now();
-    sim.emplace(paper_config(derive_seed(opt.seed, kSetupSeedStream + k)));
-    r.setup_s.push_back(s_between(t0, Clock::now()));
-  }
   if (opt.trace)
     traced_traditional(opt, r);
   else

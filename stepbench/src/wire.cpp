@@ -226,13 +226,13 @@ void run_wire(const Options& opt, Report& r) {
     return std::make_pair(submit, take);
   };
 
-  // Timed run: the whole window on the wire. Traced run: a third on the
-  // wire, a third through Router::submit in process (the baseline of
-  // net.overhead_ms), a third through the replica's InferenceServer with
-  // tracing on.
-  const double wire_seconds = opt.trace ? opt.seconds / 3.0 : opt.seconds;
+  // Timed run: the whole window on the wire. Traced run: four quarters --
+  // on the wire; through Router::submit in process (the baseline of
+  // net.overhead_ms); straight to the replica's InferenceServer untraced; and
+  // the same with tracing on (the pair that gives trace.overhead_ms).
+  const double part_seconds = opt.trace ? opt.seconds / 4.0 : opt.seconds;
   const auto start = Clock::now();
-  LoopResult wire = run_clients(wire_client, payload_count, wire_seconds);
+  LoopResult wire = run_clients(wire_client, payload_count, part_seconds);
   r.measured_s = s_between(start, wire.latency_ms.empty() ? Clock::now() : wire.last_done);
   r.op_ms = wire.latency_ms;
   r.attempted = wire.attempted;
@@ -241,7 +241,7 @@ void run_wire(const Options& opt, Report& r) {
           wire.failed ? wire.first_failure
                       : std::to_string(wire.latency_ms.size()) + " responses checked");
 
-  LoopResult routed, traced;
+  LoopResult routed, direct, traced;
   if (opt.trace) {
     net::Router& router = *stack->router;
     routed = run_clients(
@@ -251,23 +251,33 @@ void run_wire(const Options& opt, Report& r) {
           };
           return std::make_pair(submit, take_vector);
         },
-        payload_count, opt.seconds / 3.0);
+        payload_count, part_seconds);
     serve::InferenceServer& replica = router.replica(0);
-    serve::SubmitOptions traced_options;
-    traced_options.model_id = replica.model_id(kModelName);
-    traced_options.trace = true;
-    traced = run_clients(
-        [&](size_t) {
-          auto submit = [&replica, &stack, traced_options](size_t i) {
-            return replica.submit(stack->payloads[i], traced_options);
-          };
-          return std::make_pair(submit, take_vector);
-        },
-        payload_count, opt.seconds / 3.0);
-    r.attempted += routed.attempted + traced.attempted;
-    r.failed += routed.failed + traced.failed;
-    r.check("wire.in_process_results_bitwise", routed.failed + traced.failed == 0,
-            routed.failed ? routed.first_failure : traced.first_failure);
+    auto replica_clients = [&](bool trace) {
+      serve::SubmitOptions options;
+      options.model_id = replica.model_id(kModelName);
+      options.trace = trace;
+      return run_clients(
+          [&, options](size_t) {
+            auto submit = [&replica, &stack, options](size_t i) {
+              return replica.submit(stack->payloads[i], options);
+            };
+            return std::make_pair(submit, take_vector);
+          },
+          payload_count, part_seconds);
+    };
+    direct = replica_clients(false);
+    traced = replica_clients(true);
+    const LoopResult* parts[] = {&routed, &direct, &traced};
+    std::string first_failure;
+    size_t failed = 0;
+    for (const LoopResult* p : parts) {
+      r.attempted += p->attempted;
+      failed += p->failed;
+      if (first_failure.empty()) first_failure = p->first_failure;
+    }
+    r.failed += failed;
+    r.check("wire.in_process_results_bitwise", failed == 0, first_failure);
   }
 
   // Quiesce before reading the counters so every sent response is counted.
@@ -309,7 +319,7 @@ void run_wire(const Options& opt, Report& r) {
     r.layers["net.frames_decoded"] = static_cast<double>(ns.requests_decoded);
     r.layers["net.protocol_errors"] = static_cast<double>(ns.protocol_errors);
     r.layers["trace.op_ms"] = mean(traced.latency_ms);
-    r.layers["trace.overhead_ms"] = median(traced.latency_ms) - median(routed.latency_ms);
+    r.layers["trace.overhead_ms"] = median(traced.latency_ms) - median(direct.latency_ms);
   }
 }
 
