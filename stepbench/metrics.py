@@ -103,8 +103,16 @@ LADDER = (99.0, 90.0, 50.0)
 
 # Timings are split, in the order they were taken, into this many windows;
 # the tail and the throughput are the median over the windows, so one burst
-# of interference from outside the process moves one window, not the run.
-WINDOWS = 3
+# of interference from outside the process moves a minority of windows, not
+# the run. The step workloads keep 3 so that every window holds enough steps
+# for its tail percentile (a trad_paper window needs 1000 for p99); wire_int8
+# completes ~5000 requests a second, so its windows are about a second long.
+WINDOWS = {
+    "trad_paper": 3,
+    "dlpic_f64": 3,
+    "ensemble8_f64": 3,
+    "wire_int8": 15,
+}
 
 
 def percentile(values, p):
@@ -130,7 +138,7 @@ def tail_percentile(n, preferred):
     raise ValueError(f"{n} samples leave fewer than {MIN_BEYOND} beyond any percentile")
 
 
-def windows(values, k=WINDOWS):
+def windows(values, k):
     """`values` split in order into k contiguous, nearly equal windows."""
     if len(values) < k:
         raise ValueError(f"{len(values)} samples cannot fill {k} windows")
@@ -138,25 +146,37 @@ def windows(values, k=WINDOWS):
     return [values[bounds[i]:bounds[i + 1]] for i in range(k)]
 
 
-def tail(values, preferred):
-    """Median over windows of each window's tail percentile.
+def tail(values, preferred, k):
+    """Median over k windows of each window's tail percentile.
 
     Returns (value, percentile, samples per window).
     """
-    parts = windows(values)
+    parts = windows(values, k)
     p = min(tail_percentile(len(w), preferred) for w in parts)
     return statistics.median(percentile(w, p) for w in parts), p, min(len(w) for w in parts)
+
+
+def request_throughput(done_s, k):
+    """Median over k windows of completions per second; `done_s` holds each
+    completion's time, in order, from the moment the window opened."""
+    rates = []
+    opened = 0.0
+    for w in windows(done_s, k):
+        rates.append(len(w) / (w[-1] - opened))
+        opened = w[-1]
+    return statistics.median(rates)
 
 
 def end_to_end(workload, raw):
     """End-to-end metric values of one untraced run's raw report."""
     ops = raw["op_ms"]
-    tail_value, _, _ = tail(ops, TAIL_PERCENTILE[workload])
+    k = WINDOWS[workload]
+    tail_value, _, _ = tail(ops, TAIL_PERCENTILE[workload], k)
     if raw["op"] == "step":
         throughput = statistics.median(
-            raw["items_per_op"] * len(w) / (sum(w) / 1000.0) for w in windows(ops))
+            raw["items_per_op"] * len(w) / (sum(w) / 1000.0) for w in windows(ops, k))
     else:
-        throughput = len(ops) / raw["measured_s"]
+        throughput = request_throughput(raw["op_done_s"], k)
     return {
         "setup_s": statistics.median(raw["setup_s"]),
         "latency_ms_p50": statistics.median(ops),

@@ -31,16 +31,16 @@ import metrics  # noqa: E402
 ROOT = HERE.parent
 BUILD_DIR = Path(".bench_build") / "stepbench"  # relative to ROOT
 
-# Fixed worker count per workload, clamped to nproc and recorded. The step
-# workloads run serial: on a shared 4-vCPU host their run-to-run spread at
-# 2 and 4 workers was 20-100%, against under 15% at one. The wire workload
-# keeps 4: its client, connection and batcher threads already share the
-# machine, and it was steadier there than at one.
+# Fixed worker count per workload, clamped to nproc and recorded. Every
+# workload runs serial: on a shared 4-vCPU host the step workloads' run-to-run
+# spread at 2 and 4 workers was 20-100%, against under 15% at one, and the
+# wire workload at 4 workers moved 50-80% between runs, because a fork-join
+# forward waits for whichever worker another tenant delays.
 WORKERS = {
     "trad_paper": 1,
     "dlpic_f64": 1,
     "ensemble8_f64": 1,
-    "wire_int8": 4,
+    "wire_int8": 1,
 }
 
 DRIVER_GRACE_S = 150  # set-up, checks and teardown on top of --seconds
@@ -116,9 +116,10 @@ def print_summary(workload, raw, values, trace):
           f"failed_frac {metrics.failed_frac(raw):.6g}")
     ops = raw["op_ms"]
     if not trace:
-        _, pct, per_window = metrics.tail(ops, metrics.TAIL_PERCENTILE[workload])
+        windows = metrics.WINDOWS[workload]
+        _, pct, per_window = metrics.tail(ops, metrics.TAIL_PERCENTILE[workload], windows)
         print(f"  {len(ops)} {raw['op']}s timed untraced; tail = median over "
-              f"{metrics.WINDOWS} windows of p{pct:g} ({per_window} samples, "
+              f"{windows} windows of p{pct:g} ({per_window} samples, "
               f"{metrics.beyond(per_window, pct)} beyond, per window)")
         aliases = metrics.STEP_ALIASES if raw["op"] == "step" else metrics.REQUEST_ALIASES
         for name, alias in aliases.items():

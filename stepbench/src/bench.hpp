@@ -43,7 +43,7 @@ struct Report {
   std::string op = "step";         ///< what one op_ms sample times
   std::vector<double> setup_s;     ///< one sample per full set-up
   std::vector<double> op_ms;       ///< untraced step or request latencies
-  double measured_s = 0.0;         ///< wall time of the measured window
+  std::vector<double> op_done_s;   ///< requests: completion of each op_ms sample, s into the window
   double items_per_op = 1.0;       ///< particles advanced per step (1 per request)
   size_t attempted = 0;
   size_t failed = 0;

@@ -74,8 +74,9 @@ void Report::print_json() const {
   write_array(os, setup_s);
   os << ",\"op_ms\":";
   write_array(os, op_ms);
-  os << ",\"measured_s\":" << json_number(measured_s)
-     << ",\"items_per_op\":" << json_number(items_per_op) << ",\"attempted\":" << attempted
+  os << ",\"op_done_s\":";
+  write_array(os, op_done_s);
+  os << ",\"items_per_op\":" << json_number(items_per_op) << ",\"attempted\":" << attempted
      << ",\"failed\":" << failed << ",\"checks\":[";
   for (size_t i = 0; i < checks.size(); ++i) {
     os << (i ? "," : "") << "{\"name\":" << json_string(checks[i].name)

@@ -1,10 +1,10 @@
 /// \file wire.cpp
 /// wire_int8: a closed loop over a unix socket, net::Client → net::NetServer
 /// → net::Router → serve::InferenceServer at int8, with the prepared weight
-/// cache built at registration. Two client connections keep eight requests
-/// in flight each. Payloads are real 64×64 histograms binned during set-up
-/// from this workload's seeded paper runs; every response must equal the
-/// in-process int8 result for its payload bitwise.
+/// cache built at registration. One client connection keeps eight requests
+/// in flight, so every batch is full. Payloads are real 64×64 histograms
+/// binned during set-up from this workload's seeded paper runs; every
+/// response must equal the in-process int8 result for its payload bitwise.
 
 #include <unistd.h>
 
@@ -12,7 +12,6 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "bench.hpp"
 #include "net/client.hpp"
@@ -30,8 +29,11 @@ using namespace dlpic;
 
 namespace {
 
-constexpr size_t kClients = 2;
-constexpr size_t kInFlight = 8;  // per client connection
+// One connection and one worker keep the threads that are runnable at once
+// (client loop, its reader, the server's reader and writer, the batch
+// worker) within a few cores: with two connections at four workers the
+// wire figures moved 50-80% between runs on a shared 4-vCPU host.
+constexpr size_t kInFlight = 8;
 constexpr size_t kSetupRepeats = 3;
 constexpr size_t kPayloadRuns = 2;
 constexpr size_t kPayloadEvery = 4;  // steps between binned payloads
@@ -41,8 +43,10 @@ const char* const kModelName = "paper";
 net::RouterConfig router_config(bool trace) {
   net::RouterConfig c;
   c.replicas = 1;
-  c.server.max_batch = 8;
-  c.server.max_wait_us = 200;
+  c.server.max_batch = kInFlight;
+  // Long enough that a batch always waits for all eight requests of the
+  // closed loop, so the batch size does not depend on thread timing.
+  c.server.max_wait_us = 2000;
   c.server.precision = nn::Precision::kInt8;
   c.server.worker_threads = 1;
   c.server.context_worker_cap = 0;
@@ -50,13 +54,13 @@ net::RouterConfig router_config(bool trace) {
   return c;
 }
 
-/// One full set-up. Members are destroyed in reverse order: clients close
+/// One full set-up. Members are destroyed in reverse order: the client closes
 /// before the wire server stops, which happens before the router shuts down.
 struct Stack {
   PaperModel pm;
   std::unique_ptr<net::Router> router;
   std::unique_ptr<net::NetServer> server;
-  std::vector<std::unique_ptr<net::Client>> clients;
+  std::unique_ptr<net::Client> client;
   std::vector<std::vector<double>> payloads;
 
   Stack(const Options& opt, const std::string& socket_path)
@@ -65,8 +69,7 @@ struct Stack {
     serve::ModelConfig mc = router->config().server.model_defaults();
     router->add_model(kModelName, pm.model, pm.binner.nx * pm.binner.nv, mc, &pm.normalizer);
     server = std::make_unique<net::NetServer>(*router, net::Address::unix_socket(socket_path));
-    for (size_t c = 0; c < kClients; ++c)
-      clients.push_back(std::make_unique<net::Client>(server->address()));
+    client = std::make_unique<net::Client>(server->address());
     const phase_space::PhaseSpaceBinner binner(pm.binner);
     for (size_t run = 0; run < kPayloadRuns; ++run) {
       const auto cfg = paper_config(derive_seed(opt.seed, kPayloadSeedStream + run));
@@ -99,22 +102,22 @@ std::vector<std::vector<double>> expected_results(Stack& stack) {
 
 struct LoopResult {
   std::vector<double> latency_ms;  // successful requests only
+  std::vector<double> done_s;      // their completion times, s after the loop opened
   size_t attempted = 0;
   size_t failed = 0;
   std::string first_failure;
-  Clock::time_point last_done{};
   void fail(const std::string& why) {
     if (failed++ == 0) first_failure = why;
   }
 };
 
-/// One closed-loop client: keeps kInFlight requests outstanding until the
-/// deadline, then drains. Responses come back in submission order (the wire
-/// server pipelines FIFO per connection), so waiting on the oldest request
-/// times each one from submit to response.
+/// One closed-loop client on the calling thread: keeps kInFlight requests
+/// outstanding for `seconds`, then drains. Responses come back in submission
+/// order (the wire server pipelines FIFO per connection), so waiting on the
+/// oldest request times each one from submit to response.
 template <class Submit, class Take>
-void closed_loop(Submit submit, Take take, size_t first, size_t payload_count,
-                 Clock::time_point deadline, LoopResult& out) {
+LoopResult closed_loop(Submit submit, Take take, size_t payload_count, double seconds) {
+  LoopResult out;
   using Future = decltype(submit(size_t{0}));
   struct InFlight {
     Future future;
@@ -122,7 +125,9 @@ void closed_loop(Submit submit, Take take, size_t first, size_t payload_count,
     size_t index;
   };
   std::deque<InFlight> queue;
-  size_t next = first;
+  size_t next = 0;
+  const auto start = Clock::now();
+  const auto deadline = after_seconds(start, seconds);
   auto finish_oldest = [&] {
     InFlight f = std::move(queue.front());
     queue.pop_front();
@@ -132,7 +137,7 @@ void closed_loop(Submit submit, Take take, size_t first, size_t payload_count,
       std::string why;
       if (take(std::move(value), f.index, why)) {
         out.latency_ms.push_back(ms_between(f.sent, done));
-        out.last_done = done;
+        out.done_s.push_back(s_between(start, done));
       } else {
         out.fail(why);
       }
@@ -154,31 +159,7 @@ void closed_loop(Submit submit, Take take, size_t first, size_t payload_count,
     if (!queue.empty()) finish_oldest();
   }
   while (!queue.empty()) finish_oldest();
-}
-
-/// Runs kClients closed loops on their own threads; `make(c)` returns the
-/// (submit, take) pair for client c.
-template <class Make>
-LoopResult run_clients(Make make, size_t payload_count, double seconds) {
-  std::vector<LoopResult> results(kClients);
-  const auto deadline = after_seconds(Clock::now(), seconds);
-  std::vector<std::thread> threads;
-  for (size_t c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      auto [submit, take] = make(c);
-      closed_loop(submit, take, c * payload_count / kClients, payload_count, deadline, results[c]);
-    });
-  }
-  for (auto& t : threads) t.join();
-  LoopResult all;
-  for (auto& r : results) {
-    all.latency_ms.insert(all.latency_ms.end(), r.latency_ms.begin(), r.latency_ms.end());
-    all.attempted += r.attempted;
-    all.failed += r.failed;
-    if (all.first_failure.empty()) all.first_failure = r.first_failure;
-    all.last_done = std::max(all.last_done, r.last_done);
-  }
-  return all;
+  return out;
 }
 
 }  // namespace
@@ -203,7 +184,7 @@ void run_wire(const Options& opt, Report& r) {
   r.counters["payloads"] = static_cast<double>(payload_count);
   r.counters["nn.flop_per_sample"] = work.flop_per_sample;
   r.counters["nn.weight_bytes_per_forward"] = work.weight_bytes(nn::Precision::kInt8);
-  r.counters["clients"] = static_cast<double>(kClients);
+  r.counters["clients"] = 1.0;
   r.counters["in_flight_per_client"] = static_cast<double>(kInFlight);
 
   auto take_vector = [&expected](std::vector<double>&& value, size_t index, std::string& why) {
@@ -211,19 +192,16 @@ void run_wire(const Options& opt, Report& r) {
     why = "result for payload " + std::to_string(index) + " != in-process int8 result";
     return false;
   };
-  auto wire_client = [&](size_t c) {
-    net::Client& client = *stack->clients[c];
-    auto submit = [&client, &stack](size_t i) {
-      return client.submit_async(kModelName, stack->payloads[i]);
-    };
-    auto take = [&take_vector](net::NetResponse&& resp, size_t index, std::string& why) {
-      if (resp.status != net::Status::kOk) {
-        why = "status " + std::to_string(static_cast<int>(resp.status)) + ": " + resp.error;
-        return false;
-      }
-      return take_vector(std::move(resp.payload), index, why);
-    };
-    return std::make_pair(submit, take);
+  net::Client& client = *stack->client;
+  auto submit_wire = [&client, &stack](size_t i) {
+    return client.submit_async(kModelName, stack->payloads[i]);
+  };
+  auto take_wire = [&take_vector](net::NetResponse&& resp, size_t index, std::string& why) {
+    if (resp.status != net::Status::kOk) {
+      why = "status " + std::to_string(static_cast<int>(resp.status)) + ": " + resp.error;
+      return false;
+    }
+    return take_vector(std::move(resp.payload), index, why);
   };
 
   // Timed run: the whole window on the wire. Traced run: four quarters --
@@ -231,10 +209,9 @@ void run_wire(const Options& opt, Report& r) {
   // net.overhead_ms); straight to the replica's InferenceServer untraced; and
   // the same with tracing on (the pair that gives trace.overhead_ms).
   const double part_seconds = opt.trace ? opt.seconds / 4.0 : opt.seconds;
-  const auto start = Clock::now();
-  LoopResult wire = run_clients(wire_client, payload_count, part_seconds);
-  r.measured_s = s_between(start, wire.latency_ms.empty() ? Clock::now() : wire.last_done);
+  LoopResult wire = closed_loop(submit_wire, take_wire, payload_count, part_seconds);
   r.op_ms = wire.latency_ms;
+  r.op_done_s = wire.done_s;
   r.attempted = wire.attempted;
   r.failed = wire.failed;
   r.check("wire.responses_equal_in_process_int8_bitwise", wire.failed == 0 && !wire.latency_ms.empty(),
@@ -244,30 +221,22 @@ void run_wire(const Options& opt, Report& r) {
   LoopResult routed, direct, traced;
   if (opt.trace) {
     net::Router& router = *stack->router;
-    routed = run_clients(
-        [&](size_t) {
-          auto submit = [&router, &stack](size_t i) {
-            return router.submit(kModelName, stack->payloads[i]);
-          };
-          return std::make_pair(submit, take_vector);
-        },
-        payload_count, part_seconds);
+    auto submit_routed = [&router, &stack](size_t i) {
+      return router.submit(kModelName, stack->payloads[i]);
+    };
+    routed = closed_loop(submit_routed, take_vector, payload_count, part_seconds);
     serve::InferenceServer& replica = router.replica(0);
-    auto replica_clients = [&](bool trace) {
+    auto replica_loop = [&](bool trace) {
       serve::SubmitOptions options;
       options.model_id = replica.model_id(kModelName);
       options.trace = trace;
-      return run_clients(
-          [&, options](size_t) {
-            auto submit = [&replica, &stack, options](size_t i) {
-              return replica.submit(stack->payloads[i], options);
-            };
-            return std::make_pair(submit, take_vector);
-          },
-          payload_count, part_seconds);
+      auto submit = [&replica, &stack, options](size_t i) {
+        return replica.submit(stack->payloads[i], options);
+      };
+      return closed_loop(submit, take_vector, payload_count, part_seconds);
     };
-    direct = replica_clients(false);
-    traced = replica_clients(true);
+    direct = replica_loop(false);
+    traced = replica_loop(true);
     const LoopResult* parts[] = {&routed, &direct, &traced};
     std::string first_failure;
     size_t failed = 0;
@@ -281,7 +250,7 @@ void run_wire(const Options& opt, Report& r) {
   }
 
   // Quiesce before reading the counters so every sent response is counted.
-  stack->clients.clear();
+  stack->client.reset();
   stack->server->stop();
   const net::NetServerStats ns = stack->server->stats();
   r.counters["net.connections_accepted"] = static_cast<double>(ns.connections_accepted);

@@ -15,8 +15,8 @@ sys.dont_write_bytecode = True
 import metrics  # noqa: E402
 
 
-def raw_report(op_ms, op="step", items=64000.0, measured_s=1.0, **extra):
-    raw = {"op": op, "op_ms": op_ms, "items_per_op": items, "measured_s": measured_s,
+def raw_report(op_ms, op="step", items=64000.0, **extra):
+    raw = {"op": op, "op_ms": op_ms, "items_per_op": items,
            "setup_s": [0.3, 0.1, 0.2], "counters": {"peak_rss_mb": 7.0}, "layers": {},
            "attempted": len(op_ms), "failed": 0}
     raw.update(extra)
@@ -69,17 +69,17 @@ class Windows(unittest.TestCase):
     def test_tail_is_median_of_window_tails(self):
         quiet = [1.0] * 200          # p90 = 1.0
         slow = [1.0] * 100 + [5.0] * 100  # p90 = 5.0
-        value, p, per_window = metrics.tail(quiet + slow + quiet, 90.0)
+        value, p, per_window = metrics.tail(quiet + slow + quiet, 90.0, 3)
         self.assertEqual((value, p, per_window), (1.0, 90.0, 200))
         self.assertEqual(metrics.percentile(quiet + slow + quiet, 90.0), 5.0)  # unwindowed
-        value, _, _ = metrics.tail(slow + slow + quiet, 90.0)
+        value, _, _ = metrics.tail(slow + slow + quiet, 90.0, 3)
         self.assertEqual(value, 5.0)
 
     def test_tail_falls_back_when_a_window_is_short(self):
         # 270 samples -> windows of 90, where p90 leaves only 9 beyond.
-        _, p, per_window = metrics.tail([1.0] * 270, 90.0)
+        _, p, per_window = metrics.tail([1.0] * 270, 90.0, 3)
         self.assertEqual((p, per_window), (50.0, 90))
-        _, p, _ = metrics.tail([1.0] * 300, 90.0)
+        _, p, _ = metrics.tail([1.0] * 300, 90.0, 3)
         self.assertEqual(p, 90.0)
 
 
@@ -94,9 +94,18 @@ class Aggregation(unittest.TestCase):
         self.assertEqual(m["peak_rss_mb"], 7.0)
 
     def test_request_throughput_is_completions_over_wall_time(self):
-        m = metrics.end_to_end("wire_int8", raw_report([1.0] * 500, op="request", items=1.0,
-                                                       measured_s=0.25))
-        self.assertEqual(m["throughput_per_s"], 2000.0)
+        done = [(i + 1) / 2000.0 for i in range(1500)]  # 2000 completions a second
+        m = metrics.end_to_end("wire_int8", raw_report([1.0] * 1500, op="request", items=1.0,
+                                                       op_done_s=done))
+        self.assertAlmostEqual(m["throughput_per_s"], 2000.0)
+
+    def test_request_throughput_is_the_median_window(self):
+        # Three windows of 100 completions: at 1000/s, 100/s (a stall), 1000/s.
+        done = [i / 1000.0 for i in range(1, 101)]
+        done += [0.1 + i / 100.0 for i in range(1, 101)]
+        done += [1.1 + i / 1000.0 for i in range(1, 101)]
+        self.assertAlmostEqual(metrics.request_throughput(done, 3), 1000.0)
+        self.assertAlmostEqual(300 / done[-1], 250.0)  # the whole-run rate the stall drags down
 
     def test_step_throughput_is_the_median_window(self):
         ops = [1.0] * 100 + [2.0] * 100 + [4.0] * 100
@@ -138,8 +147,9 @@ class BenchmarkFile(unittest.TestCase):
                          [row[:3] for row in metrics.PER_LAYER])
         self.assertEqual([w["name"] for w in self.doc["workloads"]], list(metrics.WORKLOADS))
 
-    def test_every_workload_has_a_tail_percentile(self):
+    def test_every_workload_has_a_tail_percentile_and_windows(self):
         self.assertEqual(set(metrics.TAIL_PERCENTILE), set(metrics.WORKLOADS))
+        self.assertEqual(set(metrics.WINDOWS), set(metrics.WORKLOADS))
 
     def test_setup_has_the_largest_bound(self):
         bounds = {m["name"]: m["bound"] for m in self.doc["end_to_end"]}
