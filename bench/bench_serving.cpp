@@ -2,12 +2,11 @@
 /// Serving-path benchmarks: batched inference throughput (requests/sec) and
 /// client-observed latency (p50/p99) versus client count and max_batch,
 /// against the single-request serial baseline. Args are {clients, max_batch,
-/// worker_threads, burst, pad, precision}: `burst` pipelines that many
+/// worker_threads, burst, precision}: `burst` pipelines that many
 /// outstanding submissions per client (1 = the old submit-then-wait loop) so
-/// batch formation is not throttled by client round-trips, `pad` != 0
-/// enables fixed-shape micro-batch padding (pad_to_batch = max_batch), and
-/// `precision` picks the serving tier (0 = f64, 1 = int8, 2 = int16
-/// quantized GEMM). Every run
+/// batch formation is not throttled by client round-trips, and `precision`
+/// picks the serving tier (0 = f64, 1 = int8, 2 = int16 quantized GEMM).
+/// Every run
 /// also reports mean_batch (the amortization the dynamic batcher achieved).
 ///
 /// bench_serve_lanes sweeps the priority-lane / multi-model scheduler under
@@ -117,13 +116,12 @@ void run_serve_batched(benchmark::State& state, bool observability) {
   cfg.worker_threads = worker_threads;
   // One parallel worker context; several contexts pinned serial.
   cfg.context_worker_cap = worker_threads > 1 ? 1 : 0;
-  cfg.pad_to_batch = state.range(4) != 0 ? max_batch : 0;
-  cfg.precision = state.range(5) == 1   ? nn::Precision::kInt8
-                  : state.range(5) == 2 ? nn::Precision::kInt16
+  cfg.precision = state.range(4) == 1   ? nn::Precision::kInt8
+                  : state.range(4) == 2 ? nn::Precision::kInt16
                                         : nn::Precision::kF64;
   if (observability) cfg.trace_capacity = 4096;
   state.counters["precision"] =
-      benchmark::Counter(static_cast<double>(state.range(5)));
+      benchmark::Counter(static_cast<double>(state.range(4)));
   serve::InferenceServer server(model, kInputDim, cfg);
 
   serve::SubmitOptions options;
@@ -388,24 +386,22 @@ void bench_serve_net(benchmark::State& state) {
 
 BENCHMARK(bench_serve_serial_single)->Unit(benchmark::kMicrosecond);
 
-// {clients, max_batch, worker_threads, burst, pad, precision}: the batching
+// {clients, max_batch, worker_threads, burst, precision}: the batching
 // sweep (1 worker, parallel kernels), the thread-scaling sweep (serial
-// contexts), the pipelined-client sweep (burst > 1) with and without
-// fixed-shape padding, and the quantized lanes (precision 1 = int8,
-// 2 = int16) against their f64 twin rows.
+// contexts), the pipelined-client sweep (burst > 1), and the quantized
+// lanes (precision 1 = int8, 2 = int16) against their f64 twin rows.
 BENCHMARK(bench_serve_batched)
-    ->Args({1, 1, 1, 1, 0, 0})    // no batching, one client: queue overhead reference
-    ->Args({4, 1, 1, 1, 0, 0})    // concurrency without batching
-    ->Args({4, 8, 1, 1, 0, 0})    // dynamic batching kicks in
-    ->Args({8, 8, 1, 1, 0, 0})
-    ->Args({8, 8, 1, 8, 0, 0})    // pipelined clients: batches actually fill
-    ->Args({8, 8, 1, 8, 0, 1})    // ... the same lane served int8
-    ->Args({8, 8, 1, 8, 0, 2})    // ... and at the int16 middle tier
-    ->Args({8, 8, 1, 8, 1, 0})    // + fixed-shape padding (pad_to_batch = 8)
-    ->Args({8, 32, 1, 8, 0, 0})
-    ->Args({8, 8, 2, 8, 0, 0})    // two serial-context workers, pipelined
-    ->Args({16, 32, 2, 8, 1, 0})
-    ->Args({16, 32, 2, 8, 1, 1})  // padded int8 at the deepest sweep point
+    ->Args({1, 1, 1, 1, 0})    // no batching, one client: queue overhead reference
+    ->Args({4, 1, 1, 1, 0})    // concurrency without batching
+    ->Args({4, 8, 1, 1, 0})    // dynamic batching kicks in
+    ->Args({8, 8, 1, 1, 0})
+    ->Args({8, 8, 1, 8, 0})    // pipelined clients: batches actually fill
+    ->Args({8, 8, 1, 8, 1})    // ... the same lane served int8
+    ->Args({8, 8, 1, 8, 2})    // ... and at the int16 middle tier
+    ->Args({8, 32, 1, 8, 0})
+    ->Args({8, 8, 2, 8, 0})    // two serial-context workers, pipelined
+    ->Args({16, 32, 2, 8, 0})
+    ->Args({16, 32, 2, 8, 1})  // int8 at the deepest sweep point
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
@@ -414,8 +410,8 @@ BENCHMARK(bench_serve_batched)
 // comparison): p50_us here vs the matching bench_serve_batched row is the
 // metrics+tracing overhead.
 BENCHMARK(bench_serve_batched_obs)
-    ->Args({8, 8, 1, 8, 0, 0})
-    ->Args({8, 8, 2, 8, 0, 0})
+    ->Args({8, 8, 1, 8, 0})
+    ->Args({8, 8, 2, 8, 0})
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 

@@ -20,13 +20,6 @@ void ifft(std::vector<cplx>& data) {
   get_fft_plan(data.size()).inverse(data.data());
 }
 
-std::vector<cplx> fft_real(const std::vector<double>& signal) {
-  std::vector<cplx> data(signal.size());
-  for (size_t i = 0; i < signal.size(); ++i) data[i] = cplx(signal[i], 0.0);
-  fft(data);
-  return data;
-}
-
 double mode_amplitude(const std::vector<double>& signal, size_t mode) {
   const size_t n = signal.size();
   if (mode >= n) throw std::invalid_argument("mode_amplitude: mode out of range");

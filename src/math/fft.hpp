@@ -24,9 +24,6 @@ void fft(std::vector<cplx>& data);
 /// In-place inverse FFT including the 1/N normalization.
 void ifft(std::vector<cplx>& data);
 
-/// Forward transform of a real signal; returns the full complex spectrum.
-std::vector<cplx> fft_real(const std::vector<double>& signal);
-
 /// Amplitude of harmonic `mode` of a real signal, normalized so that
 /// x[n] = A cos(2π·mode·n/N + φ) gives amplitude(mode) == A. Single-bin
 /// Goertzel recurrence: O(n), no transform, no allocation at any size.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -120,9 +119,6 @@ void DynamicBatcher::reset_stats() { metrics_.reset(); }
 
 void DynamicBatcher::run_batch(ModelBundle& bundle) {
   const size_t b = batch_.size();
-  // With padding enabled every forward pass carries the same fixed row
-  // count; rows beyond the live batch are zeroed and later discarded.
-  const size_t rows = bundle.config.pad_to_batch > b ? bundle.config.pad_to_batch : b;
   const size_t input_dim = bundle.input_dim;
   try {
     // Chaos seam: an injected fault here takes the exact path of a real
@@ -137,12 +133,10 @@ void DynamicBatcher::run_batch(ModelBundle& bundle) {
         request.trace->stamp(TraceStage::kAssemble, assemble_ns);
       }
     }
-    // Assemble [rows, input_dim] in the workspace: steady-state
-    // reacquisition at the same shape is allocation-free.
-    nn::Tensor& x = ctx_.workspace().tensor(this, kSlotBatchInput, {rows, input_dim});
+    // Assemble [b, input_dim] in the workspace: its buffers only grow, so
+    // once the largest batch has run, reacquisition is allocation-free.
+    nn::Tensor& x = ctx_.workspace().tensor(this, kSlotBatchInput, {b, input_dim});
     for (size_t i = 0; i < b; ++i) nn::set_row(x, i, batch_[i].input.data(), input_dim);
-    if (rows > b)
-      std::memset(x.data() + b * input_dim, 0, (rows - b) * input_dim * sizeof(double));
     if (bundle.normalizer) bundle.normalizer->apply(x.data(), x.size());
 
     // Per-bundle precision pick: point the context at this bundle's
@@ -162,7 +156,7 @@ void DynamicBatcher::run_batch(ModelBundle& bundle) {
       }
     }
     const nn::Tensor& y = bundle.model->predict(ctx_, x);
-    if (y.rank() != 2 || y.dim(0) != rows)
+    if (y.rank() != 2 || y.dim(0) != b)
       throw std::runtime_error("DynamicBatcher: expected [batch, out] model output, got " +
                                y.shape_string());
     // One clock read stamps every scatter and feeds every latency sample of

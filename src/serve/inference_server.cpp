@@ -16,8 +16,6 @@ ServerConfig validated(ServerConfig config) {
     throw std::invalid_argument("InferenceServer: max_batch must be >= 1");
   if (config.worker_threads == 0)
     throw std::invalid_argument("InferenceServer: worker_threads must be >= 1");
-  if (config.pad_to_batch != 0 && config.pad_to_batch < config.max_batch)
-    throw std::invalid_argument("InferenceServer: pad_to_batch must be >= max_batch");
   return config;
 }
 }  // namespace

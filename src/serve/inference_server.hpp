@@ -47,8 +47,6 @@ struct ServerConfig {
   size_t max_batch = 16;
   /// Default ModelConfig::max_wait_us for models added without a config.
   uint32_t max_wait_us = 200;
-  /// Default ModelConfig::pad_to_batch for models added without a config.
-  size_t pad_to_batch = 0;
   /// Default ModelConfig::precision for models added without a config.
   /// Three-rung ladder: kF64 (bitwise full precision) > kInt16 (near-f64
   /// accuracy, faster GEMMs) > kInt8 (fastest, loosest budget). One server
@@ -69,16 +67,9 @@ struct ServerConfig {
 
   /// The per-model policy implied by the batching fields above.
   [[nodiscard]] ModelConfig model_defaults() const {
-    return ModelConfig{max_batch, max_wait_us, pad_to_batch, precision};
+    return ModelConfig{max_batch, max_wait_us, precision};
   }
 };
-
-/// Per-request scheduling options accepted by submit(): `model_id`
-/// (add_model's return value), `priority` (interactive drains before bulk)
-/// and `deadline` (absolute expiry — if inference has not started by then,
-/// the future fails with DeadlineExpired and no forward pass is spent on
-/// it). Same shape the queue consumes; the server only adds validation.
-using SubmitOptions = RequestOptions;
 
 /// Aggregate serving counters (summed over all batcher threads and models).
 /// Each batcher contributes one coherent seqlock snapshot, so the

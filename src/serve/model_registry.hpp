@@ -37,12 +37,6 @@ struct ModelConfig {
   /// How long an open batch waits for more requests before a partial flush,
   /// in microseconds. 0 serves whatever is immediately available.
   uint32_t max_wait_us = 200;
-  /// When non-zero, every forward pass runs at exactly this row count
-  /// (>= max_batch): partial batches are zero-padded and the padded rows
-  /// are dropped before the result scatter. Bitwise-neutral (rows are
-  /// computed independently); keeps the SIMD GEMM on full tiles and the
-  /// workspace at one steady-state size.
-  size_t pad_to_batch = 0;
   /// Numeric precision this model's forward passes run at — a three-rung
   /// accuracy/throughput ladder. kF64 (default) is the full-precision path
   /// with the bitwise batched == serial contract. kInt16 and kInt8 route

@@ -8,7 +8,7 @@
 namespace dlpic::serve {
 
 std::future<std::vector<double>> RequestQueue::push(std::vector<double> input,
-                                                    const RequestOptions& options) {
+                                                    const SubmitOptions& options) {
   if (options.model_id >= kMaxModels)
     throw std::invalid_argument("RequestQueue::push: model_id " +
                                 std::to_string(options.model_id) + " >= kMaxModels (" +

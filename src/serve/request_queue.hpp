@@ -94,8 +94,12 @@ struct Request {
   TraceSlot* trace = nullptr;
 };
 
-/// Per-request scheduling options accepted by RequestQueue::push.
-struct RequestOptions {
+/// Per-request scheduling options accepted by RequestQueue::push and
+/// InferenceServer::submit: `model_id` (add_model's return value),
+/// `priority` (interactive drains before bulk) and `deadline` (absolute
+/// expiry: if inference has not started by then, the future fails with
+/// DeadlineExpired and no forward pass is spent on it).
+struct SubmitOptions {
   Priority priority = Priority::kBulk;
   std::chrono::steady_clock::time_point deadline = kNoDeadline;
   size_t model_id = 0;
@@ -133,7 +137,7 @@ class RequestQueue {
   /// queue is closed and std::invalid_argument when options.model_id >=
   /// kMaxModels (the per-lane FIFO tables are sized by model id).
   std::future<std::vector<double>> push(std::vector<double> input,
-                                        const RequestOptions& options = {});
+                                        const SubmitOptions& options = {});
 
   /// Pops one single-model batch into `out` (cleared first). Blocks until at
   /// least one request is available or the queue is closed; then selects the

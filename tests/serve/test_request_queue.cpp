@@ -112,9 +112,9 @@ TEST(RequestQueue, CloseWakesBlockedConsumer) {
 
 TEST(RequestQueue, InteractiveLaneDrainsBeforeOlderBulk) {
   RequestQueue q;
-  RequestOptions bulk;
+  SubmitOptions bulk;
   bulk.priority = Priority::kBulk;
-  RequestOptions interactive;
+  SubmitOptions interactive;
   interactive.priority = Priority::kInteractive;
   // Bulk requests are older, yet the batch must lead with the interactive
   // lane (strict priority) and only then take bulk on leftover slots.
@@ -136,8 +136,8 @@ TEST(RequestQueue, InteractiveLaneDrainsBeforeOlderBulk) {
 
 TEST(RequestQueue, BatchNeverMixesModels) {
   RequestQueue q;
-  RequestOptions model0;
-  RequestOptions model1;
+  SubmitOptions model0;
+  SubmitOptions model1;
   model1.model_id = 1;
   (void)q.push(sample(0.0), model0);
   (void)q.push(sample(1.0), model1);
@@ -154,8 +154,8 @@ TEST(RequestQueue, BatchNeverMixesModels) {
 
 TEST(RequestQueue, InteractiveHeadSelectsTheBatchModel) {
   RequestQueue q;
-  RequestOptions bulk0;  // older, bulk, model 0
-  RequestOptions inter1;
+  SubmitOptions bulk0;  // older, bulk, model 0
+  SubmitOptions inter1;
   inter1.priority = Priority::kInteractive;
   inter1.model_id = 1;
   (void)q.push(sample(0.0), bulk0);
@@ -171,7 +171,7 @@ TEST(RequestQueue, InteractiveHeadSelectsTheBatchModel) {
 
 TEST(RequestQueue, PerModelPoliciesApply) {
   RequestQueue q;
-  RequestOptions model1;
+  SubmitOptions model1;
   model1.model_id = 1;
   for (int i = 0; i < 4; ++i) (void)q.push(sample(i), model1);
 
@@ -184,7 +184,7 @@ TEST(RequestQueue, PerModelPoliciesApply) {
 
 TEST(RequestQueue, CollectedDeadlineClampsTheBatchingWindow) {
   RequestQueue q;
-  RequestOptions options;
+  SubmitOptions options;
   options.deadline = std::chrono::steady_clock::now() + 30ms;
   (void)q.push(sample(1.0), options);
 
@@ -202,7 +202,7 @@ TEST(RequestQueue, ExpiredRequestsAreStillHandedToTheConsumer) {
   // The queue never touches promises: failing expired requests is the
   // batcher's job, so pop_batch must return them like any other request.
   RequestQueue q;
-  RequestOptions expired;
+  SubmitOptions expired;
   expired.deadline = std::chrono::steady_clock::now() - 1s;
   auto future = q.push(sample(1.0), expired);
   std::vector<Request> batch;
@@ -216,13 +216,13 @@ TEST(RequestQueue, RejectsModelIdBeyondTableBound) {
   // The per-lane FIFO tables are sized by model id; an unchecked id would
   // let a buggy caller allocate (or overflow) the table.
   RequestQueue q;
-  RequestOptions options;
+  SubmitOptions options;
   options.model_id = kMaxModels;
   EXPECT_THROW((void)q.push(sample(1.0), options), std::invalid_argument);
   options.model_id = SIZE_MAX;
   EXPECT_THROW((void)q.push(sample(1.0), options), std::invalid_argument);
   // Same for a priority value outside the lane table.
-  RequestOptions bad_lane;
+  SubmitOptions bad_lane;
   bad_lane.priority = static_cast<Priority>(2);
   EXPECT_THROW((void)q.push(sample(1.0), bad_lane), std::invalid_argument);
   EXPECT_EQ(q.size(), 0u);

@@ -5,9 +5,8 @@
 /// models), priority lanes and per-request deadlines (expired requests fail
 /// with DeadlineExpired and never buy a forward pass) — graceful shutdown
 /// serves every in-flight request, and the max_wait window flushes partial
-/// batches. Also covers the DlFieldSolver serving-backed modes (private
-/// server and shared multi-solver registration) against the synchronous
-/// path. The adversarial saturation soak lives in test_serving_stress.cpp.
+/// batches. Also serves two DlFieldSolver models on one server against
+/// their synchronous solve_histogram(). The adversarial saturation soak lives in test_serving_stress.cpp.
 
 #include <gtest/gtest.h>
 
@@ -203,96 +202,6 @@ TEST(InferenceServer, ManySerialWorkersStayBitwiseExact) {
   for (size_t i = 0; i < futures.size(); ++i) EXPECT_EQ(futures[i].get(), expected[i]);
 }
 
-TEST(DlFieldSolverServing, AsyncMatchesSyncBitwise) {
-  phase_space::BinnerConfig bc;
-  bc.nx = 8;
-  bc.nv = 8;
-  core::DlFieldSolver solver(make_model(11), data::MinMaxNormalizer(0.0, 100.0), bc);
-
-  math::Rng rng(5);
-  std::vector<std::vector<double>> histograms(12);
-  for (auto& h : histograms) {
-    h.resize(bc.nx * bc.nv);
-    for (auto& v : h) v = rng.uniform(0.0, 100.0);
-  }
-  std::vector<std::vector<double>> expected;
-  for (const auto& h : histograms) expected.push_back(solver.solve_histogram(h));
-
-  EXPECT_THROW((void)solver.solve_async(histograms[0]), std::runtime_error);
-
-  serve::ServerConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_wait_us = 10'000;
-  auto& server = solver.start_serving(cfg);
-  EXPECT_TRUE(solver.serving());
-
-  std::vector<std::future<std::vector<double>>> futures;
-  for (const auto& h : histograms) futures.push_back(solver.solve_async(h));
-  for (size_t i = 0; i < futures.size(); ++i) EXPECT_EQ(futures[i].get(), expected[i]);
-  EXPECT_GE(server.stats().requests, histograms.size());
-
-  solver.stop_serving();
-  EXPECT_FALSE(solver.serving());
-  EXPECT_THROW((void)solver.solve_async(histograms[0]), std::runtime_error);
-}
-
-TEST(DynamicBatcher, PaddingIsBitwiseNeutral) {
-  // The same partial batch served with and without fixed-shape padding must
-  // produce bitwise-identical rows: padded rows are computed independently
-  // and dropped before the scatter.
-  auto model = make_model(21);
-  auto samples = make_samples(5, 999);  // 5 live rows, padded up to 16
-
-  auto serve_with_pad = [&](size_t pad) {
-    serve::RequestQueue queue;
-    std::vector<std::future<std::vector<double>>> futures;
-    for (const auto& s : samples) futures.push_back(queue.push(s));
-    nn::ExecutionContext ctx(/*worker_cap=*/1);
-    serve::BatcherConfig bc;
-    bc.max_batch = 16;
-    bc.max_wait_us = 0;  // serve whatever is queued right now
-    bc.pad_to_batch = pad;
-    serve::DynamicBatcher batcher(model, ctx, kInputDim, bc);
-    EXPECT_EQ(batcher.serve_once(queue), samples.size());
-    std::vector<std::vector<double>> out;
-    for (auto& f : futures) out.push_back(f.get());
-    return out;
-  };
-
-  const auto unpadded = serve_with_pad(0);
-  const auto padded = serve_with_pad(16);
-  ASSERT_EQ(unpadded.size(), padded.size());
-  for (size_t i = 0; i < unpadded.size(); ++i) EXPECT_EQ(unpadded[i], padded[i]);
-
-  // And the padded batch still matches the single-sample serial reference.
-  const auto reference = serial_reference(model, samples);
-  for (size_t i = 0; i < reference.size(); ++i) EXPECT_EQ(padded[i], reference[i]);
-}
-
-TEST(InferenceServer, PaddedServerMatchesSerialReferenceBitwise) {
-  auto model = make_model(22);
-  auto samples = make_samples(19, 1234);  // never a multiple of max_batch
-  const auto expected = serial_reference(model, samples);
-
-  ServerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.pad_to_batch = 8;  // every forward pass runs at exactly 8 rows
-  cfg.max_wait_us = 1'000;
-  InferenceServer server(model, kInputDim, cfg);
-
-  std::vector<std::future<std::vector<double>>> futures;
-  for (const auto& s : samples) futures.push_back(server.submit(s));
-  for (size_t i = 0; i < futures.size(); ++i) EXPECT_EQ(futures[i].get(), expected[i]);
-}
-
-TEST(InferenceServer, RejectsPadSmallerThanMaxBatch) {
-  auto model = make_model();
-  ServerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.pad_to_batch = 4;
-  EXPECT_THROW(InferenceServer(model, kInputDim, cfg), std::invalid_argument);
-}
-
 TEST(InferenceServer, MultiModelServesEachModelBitwiseAndNeverMixes) {
   // Two models with different seeds AND different output widths: a batch
   // that mixed models would either throw on the output shape or produce
@@ -432,9 +341,11 @@ TEST(InferenceServer, AddModelWhileServingBecomesServable) {
     EXPECT_EQ(server.submit(samples[i], options).get(), expected_b[i]);
 }
 
-TEST(DlFieldSolverServing, SharedServerHostsSeveralSolvers) {
-  // Two field-solver bundles behind ONE server/worker pool: each solver's
-  // async path must match its own synchronous path bitwise.
+TEST(DlFieldSolverServing, ServedSolversMatchSolveHistogramBitwise) {
+  // Two field solvers served the way any caller-owned model is: each
+  // registers its model and normalizer on ONE server, and requests go
+  // through submit() on both lanes. Every served row must equal that
+  // solver's synchronous solve_histogram() bitwise.
   phase_space::BinnerConfig bc;
   bc.nx = 8;
   bc.nv = 8;
@@ -442,7 +353,7 @@ TEST(DlFieldSolverServing, SharedServerHostsSeveralSolvers) {
   core::DlFieldSolver solver_b(make_model(52, 24), data::MinMaxNormalizer(0.0, 50.0), bc);
 
   math::Rng rng(9);
-  std::vector<std::vector<double>> histograms(10);
+  std::vector<std::vector<double>> histograms(12);
   for (auto& h : histograms) {
     h.resize(bc.nx * bc.nv);
     for (auto& v : h) v = rng.uniform(0.0, 100.0);
@@ -459,46 +370,30 @@ TEST(DlFieldSolverServing, SharedServerHostsSeveralSolvers) {
   serve::ModelConfig mc;
   mc.max_batch = 4;
   mc.max_wait_us = 2'000;
-  const size_t id_a = solver_a.start_serving(server, "solver-a", mc);
-  const size_t id_b = solver_b.start_serving(server, "solver-b", mc);
-  ASSERT_NE(id_a, id_b);
-  EXPECT_TRUE(solver_a.serving());
-  EXPECT_EQ(solver_a.server(), &server);
-  EXPECT_EQ(solver_a.serving_model_id(), id_a);
+  serve::SubmitOptions options_a, options_b;
+  options_a.model_id = server.add_model("solver-a", solver_a.model(), bc.nx * bc.nv, mc,
+                                        &solver_a.normalizer());
+  options_b.model_id = server.add_model("solver-b", solver_b.model(), bc.nx * bc.nv, mc,
+                                        &solver_b.normalizer());
+  ASSERT_NE(options_a.model_id, options_b.model_id);
 
   std::vector<std::future<std::vector<double>>> futures_a, futures_b;
-  for (const auto& h : histograms) {
-    futures_a.push_back(solver_a.solve_async(h, serve::Priority::kInteractive));
-    futures_b.push_back(solver_b.solve_async(h));
+  for (size_t i = 0; i < histograms.size(); ++i) {
+    // Alternate lanes so each solver is served from both.
+    options_a.priority = i % 2 == 0 ? serve::Priority::kInteractive : serve::Priority::kBulk;
+    options_b.priority = i % 2 == 0 ? serve::Priority::kBulk : serve::Priority::kInteractive;
+    futures_a.push_back(server.submit(histograms[i], options_a));
+    futures_b.push_back(server.submit(histograms[i], options_b));
   }
   for (size_t i = 0; i < histograms.size(); ++i) {
     EXPECT_EQ(futures_a[i].get(), expected_a[i]) << "solver a, histogram " << i;
     EXPECT_EQ(futures_b[i].get(), expected_b[i]) << "solver b, histogram " << i;
   }
-  EXPECT_EQ(server.model_stats(id_a).served, histograms.size());
-  EXPECT_EQ(server.model_stats(id_b).served, histograms.size());
-
-  // Detaching drops the routing but leaves the bundle servable.
-  solver_a.stop_serving();
-  EXPECT_FALSE(solver_a.serving());
-  EXPECT_THROW((void)solver_a.solve_async(histograms[0]), std::runtime_error);
-  serve::SubmitOptions direct;
-  direct.model_id = id_a;
-  EXPECT_EQ(server.submit(histograms[0], direct).get(), expected_a[0]);
-}
-
-TEST(DlFieldSolverServing, SpeciesOverloadMatchesSolve) {
-  phase_space::BinnerConfig bc;
-  bc.nx = 8;
-  bc.nv = 8;
-  core::DlFieldSolver solver(make_model(13), data::MinMaxNormalizer(0.0, 10.0), bc);
-  pic::Species s("e", -1.0, 1.0);
-  math::Rng rng(17);
-  for (int i = 0; i < 500; ++i) s.add(rng.uniform(0.0, bc.length), rng.uniform(-0.5, 0.5));
-  const auto expected = solver.solve(s);
-
-  solver.start_serving();
-  EXPECT_EQ(solver.solve_async(s).get(), expected);
+  for (const size_t id : {options_a.model_id, options_b.model_id}) {
+    const auto stats = server.model_stats(id);
+    EXPECT_EQ(stats.served, histograms.size());
+    for (const auto& lane : stats.lanes) EXPECT_EQ(lane.served, histograms.size() / 2);
+  }
 }
 
 // ---------------------------------------------------------------------------

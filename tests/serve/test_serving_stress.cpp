@@ -107,7 +107,6 @@ TEST(ServingStress, SaturationSoakMixedLanesModelsDeadlinesAndShutdown) {
   mc.max_wait_us = 500;
   size_t ids[kModels];
   ids[0] = server.add_model("m0", models[0], kInputDim, mc);
-  mc.pad_to_batch = 8;  // one padded model, one unpadded
   ids[1] = server.add_model("m1", models[1], kInputDim, mc);
 
   std::vector<std::vector<Submitted>> submitted(kProducers);

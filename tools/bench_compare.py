@@ -29,7 +29,8 @@ whose name matches NAME_REGEX are checked on METRIC with the relative
 threshold REL, and a violation exits 1 even under --warn-only. This is how
 CI promotes a specific row/metric pair from advisory to enforced (e.g.
 --fail-on 'bench_serve_batched/.*:p50_us:0.25') while everything else stays
-warn-only on shared runners.
+warn-only on shared runners. A gate that matches no row present in both
+files also exits 1: after a row rename it would otherwise check nothing.
 
 --assert-ratio / --warn-ratio NUM_NAME:DEN_NAME:METRIC:MIN (repeatable) gate
 a ratio of two rows WITHIN the current file: current[NUM].METRIC /
@@ -105,7 +106,7 @@ def hard_failures(base, cur, gates):
     rows matching a --fail-on gate that regressed beyond its threshold."""
     for regex, metric, rel_threshold in gates:
         for name in sorted(base.keys() & cur.keys()):
-            if not regex.fullmatch(name) and not regex.match(name):
+            if not regex.match(name):
                 continue
             bval = base[name].get(metric)
             cval = cur[name].get(metric)
@@ -119,6 +120,15 @@ def hard_failures(base, cur, gates):
                 direction == "up" and rel < -rel_threshold
             ):
                 yield name, metric, bval, cval, rel, rel_threshold
+
+
+def unmatched_gates(base, cur, gates):
+    """Yield the pattern of each --fail-on gate that matches no row present
+    in both files (such a gate would silently check nothing)."""
+    common = base.keys() & cur.keys()
+    for regex, _, _ in gates:
+        if not any(regex.match(name) for name in common):
+            yield regex.pattern
 
 
 def parse_ratio_gate(spec):
@@ -215,6 +225,9 @@ def main():
             f"::error::HARD REGRESSION {name} {key}: {bval:g} -> {cval:g} "
             f"({rel:+.1%}, gate {rel_threshold:.0%})"
         )
+    unmatched = list(unmatched_gates(base, cur, gates))
+    for pattern in unmatched:
+        print(f"::error::--fail-on gate {pattern!r} matches no row present in both files")
     ratio_failures = 0
     for hard, gate_list in ((True, assert_ratios), (False, warn_ratios)):
         for num, den, metric, min_ratio, ratio in ratio_gate_results(cur, gate_list):
@@ -238,9 +251,9 @@ def main():
     print(
         f"{compared} benchmarks compared, {len(regressions)} metric regressions "
         f"beyond {args.threshold:.0%}, {len(failures)} hard gate failures, "
-        f"{ratio_failures} ratio gate failures"
+        f"{ratio_failures} ratio gate failures, {len(unmatched)} unmatched gates"
     )
-    if failures or ratio_failures:
+    if failures or ratio_failures or unmatched:
         return 1
     return 0 if (args.warn_only or not regressions) else 1
 
